@@ -13,6 +13,16 @@
 // single-shard throughput — the router's pass-through path must not
 // serialize what the shards can do in parallel.
 //
+// --scatter_queries=N switches to the scatter mode: the same cluster at
+// --shards, no writes, and N interleaved pairs of SUM(balance) queries —
+// one scattered through the router to every shard, one sent directly to
+// shard 0, which holds only its own share of the rows. The router sends
+// a scatter to every shard before reading any answer, so the shards run
+// concurrently and the scatter p50 should sit near the direct p50 plus
+// the router hop; a serial fan-out pays one shard round trip per shard
+// plus the hop (over 2x the direct p50 on two shards). The
+// `router_scatter_fanout` gate bounds the ratio.
+//
 // Pass --data_dirs a comma-separated list so every shard's WAL lands on
 // its own device (e.g. --data_dirs=/tmp/a,/dev/shm/b): sharding is
 // shared-nothing, and two group-commit WALs fsyncing through one
@@ -31,6 +41,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "engine/database.h"
+#include "query/serialize.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "shard/backend_pool.h"
@@ -122,16 +133,32 @@ struct ClusterResult {
   uint64_t twopc_txns = 0;
 };
 
-/// Stands up shards + router, runs the client fleet, tears down.
-ClusterResult RunCluster(size_t num_shards, size_t rows, size_t connections,
-                         size_t txns_per_conn, size_t writes_per_txn,
-                         size_t pipeline, size_t shard_workers,
-                         size_t cross_shard_pct,
-                         wal::DurabilityMode durability,
-                         const std::vector<std::string>& data_dirs) {
-  // ---- shards: hash-partitioned accounts(id, balance), indexed --------
+/// N in-process engine shards behind one router, on loopback ports.
+struct Cluster {
   std::vector<std::unique_ptr<engine::Database>> dbs;
   std::vector<std::unique_ptr<server::Server>> servers;
+  shard::ShardMap map;
+  std::unique_ptr<shard::BackendPool> pool;
+  std::unique_ptr<shard::RouterCore> core;
+  std::unique_ptr<shard::RouterServer> router;
+  /// Keys each shard holds, placed by the hash the router routes with.
+  std::vector<size_t> rows_per_shard;
+
+  ~Cluster() {
+    if (router) router->Shutdown();
+    servers.clear();
+    for (auto& db : dbs) db->Stop();
+  }
+};
+
+/// Stands up shards (hash-partitioned accounts(id, balance = 100.0),
+/// indexed) and the router in front of them.
+std::unique_ptr<Cluster> StartCluster(size_t num_shards, size_t rows,
+                                      size_t max_inflight,
+                                      size_t shard_workers,
+                                      wal::DurabilityMode durability,
+                                      const std::vector<std::string>& data_dirs) {
+  auto cluster = std::make_unique<Cluster>();
   std::string map_text = "version 1\n";
   for (size_t s = 0; s < num_shards; ++s) {
     engine::DatabaseConfig config;  // Heterogeneous serializable.
@@ -176,26 +203,41 @@ ClusterResult RunCluster(size_t num_shards, size_t rows, size_t connections,
 
     server::ServerConfig server_config;
     server_config.port = 0;
-    server_config.max_inflight = connections + 8;
+    server_config.max_inflight = max_inflight;
     auto srv = std::make_unique<server::Server>(db.get(), server_config);
     ANKER_CHECK(srv->Start().ok());
     map_text += "shard 127.0.0.1:" + std::to_string(srv->port()) + "\n";
-    dbs.push_back(std::move(db));
-    servers.push_back(std::move(srv));
+    cluster->rows_per_shard.push_back(keys.size());
+    cluster->dbs.push_back(std::move(db));
+    cluster->servers.push_back(std::move(srv));
   }
   map_text += "table accounts partition id\n";
 
-  // ---- router ---------------------------------------------------------
   auto parsed = shard::ShardMap::Parse(map_text);
   ANKER_CHECK(parsed.ok());
-  const shard::ShardMap map = parsed.TakeValue();
-  shard::BackendPool pool(map.shards(), {});
-  shard::RouterCoreConfig core_config;
-  shard::RouterCore core(&map, &pool, core_config);
+  cluster->map = parsed.TakeValue();
+  cluster->pool = std::make_unique<shard::BackendPool>(
+      cluster->map.shards(), shard::BackendPoolConfig{});
+  cluster->core = std::make_unique<shard::RouterCore>(
+      &cluster->map, cluster->pool.get(), shard::RouterCoreConfig{});
   shard::RouterServerConfig router_config;
-  router_config.max_inflight = connections + 8;
-  shard::RouterServer router(&core, router_config);
-  ANKER_CHECK(router.Start().ok());
+  router_config.max_inflight = max_inflight;
+  cluster->router = std::make_unique<shard::RouterServer>(cluster->core.get(),
+                                                          router_config);
+  ANKER_CHECK(cluster->router->Start().ok());
+  return cluster;
+}
+
+/// Stands up a cluster, runs the client fleet, tears down.
+ClusterResult RunCluster(size_t num_shards, size_t rows, size_t connections,
+                         size_t txns_per_conn, size_t writes_per_txn,
+                         size_t pipeline, size_t shard_workers,
+                         size_t cross_shard_pct,
+                         wal::DurabilityMode durability,
+                         const std::vector<std::string>& data_dirs) {
+  auto cluster = StartCluster(num_shards, rows, connections + 8,
+                              shard_workers, durability, data_dirs);
+  const uint16_t router_port = cluster->router->port();
 
   // ---- client fleet ---------------------------------------------------
   std::vector<ConnResult> results(connections);
@@ -203,7 +245,7 @@ ClusterResult RunCluster(size_t num_shards, size_t rows, size_t connections,
   Timer wall;
   for (size_t c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
-      results[c] = RunConnection(router.port(), txns_per_conn,
+      results[c] = RunConnection(router_port, txns_per_conn,
                                  writes_per_txn, pipeline, rows, num_shards,
                                  cross_shard_pct, /*seed=*/1000 + c);
     });
@@ -220,16 +262,69 @@ ClusterResult RunCluster(size_t num_shards, size_t rows, size_t connections,
   }
   out.p50_us = latency.Percentile(50) / 1e3;
   out.p99_us = latency.Percentile(99) / 1e3;
-  const server::RouterStatusOkMsg status = core.StatusSnapshot();
+  const server::RouterStatusOkMsg status = cluster->core->StatusSnapshot();
   out.passthrough_txns = status.passthrough_txns;
   out.twopc_txns = status.twopc_txns;
 
-  router.Shutdown();
-  servers.clear();
-  for (auto& db : dbs) db->Stop();
+  cluster.reset();
   if (durability != wal::DurabilityMode::kOff) {
     for (const std::string& dir : data_dirs) wal::RemoveDirRecursive(dir);
   }
+  return out;
+}
+
+struct ScatterResult {
+  double scatter_p50_us = 0;
+  double direct_p50_us = 0;
+  uint64_t scatter_queries = 0;  ///< Router counter: scatters it merged.
+};
+
+/// Scatter mode: `queries` interleaved pairs of SUM(balance), one
+/// through the router (every shard) and one direct to shard 0. Every
+/// answer is checked against the loaded balances.
+ScatterResult RunScatter(size_t num_shards, size_t rows, size_t queries,
+                         size_t shard_workers) {
+  auto cluster = StartCluster(num_shards, rows, /*max_inflight=*/8,
+                              shard_workers, wal::DurabilityMode::kOff, {});
+  auto routed = server::Client::Connect("127.0.0.1", cluster->router->port());
+  auto direct =
+      server::Client::Connect("127.0.0.1", cluster->servers[0]->port());
+  ANKER_CHECK_MSG(routed.ok() && direct.ok(), "bench client cannot connect");
+
+  query::WireQuery sum;
+  sum.table = "accounts";
+  sum.aggs.push_back(query::Sum(query::Col("balance")).As("s"));
+  // Whole-number partial sums: exact in any merge order.
+  const double scatter_expect = 100.0 * static_cast<double>(rows);
+  const double direct_expect =
+      100.0 * static_cast<double>(cluster->rows_per_shard[0]);
+  auto timed_sum = [&](server::Client* client, double expect) {
+    Timer timer;
+    auto result = client->Query(sum, query::Params());
+    const int64_t nanos = timer.ElapsedNanos();
+    ANKER_CHECK_MSG(result.ok(), "SUM query failed");
+    ANKER_CHECK_MSG(result.value().Value("s") == expect &&
+                        result.value().shards_missing == 0,
+                    "SUM query returned a wrong total");
+    return nanos;
+  };
+
+  // Warm-up: dial the pooled backend connections and fault in the
+  // columns before anything is timed.
+  for (int i = 0; i < 8; ++i) {
+    timed_sum(routed.value().get(), scatter_expect);
+    timed_sum(direct.value().get(), direct_expect);
+  }
+  Histogram scatter, single;
+  for (size_t q = 0; q < queries; ++q) {
+    scatter.Record(timed_sum(routed.value().get(), scatter_expect));
+    single.Record(timed_sum(direct.value().get(), direct_expect));
+  }
+
+  ScatterResult out;
+  out.scatter_p50_us = scatter.Percentile(50) / 1e3;
+  out.direct_p50_us = single.Percentile(50) / 1e3;
+  out.scatter_queries = cluster->core->StatusSnapshot().scatter_queries;
   return out;
 }
 
@@ -271,8 +366,40 @@ int main(int argc, char** argv) {
   // bottleneck and hides the scaling this bench exists to measure.
   const std::string data_dir_list =
       flags.Str("data_dirs", "/tmp/anker_router_bench");
+  // >0 = scatter mode (see the header comment) instead of the sweep.
+  const size_t scatter_queries =
+      static_cast<size_t>(flags.Int("scatter_queries", 0));
   const std::string json_out = flags.Str("json_out", "");
   flags.RejectUnknown();
+
+  if (scatter_queries > 0) {
+    ANKER_CHECK_MSG(max_shards > 1, "scatter mode needs --shards >= 2");
+    bench::PrintHeader(
+        "Router scatter: SUM over every shard vs SUM on one shard",
+        "the router sends a scatter to every shard before reading any "
+        "answer: the scatter p50 stays near the slowest shard plus the "
+        "hop, not the sum of the shard round trips");
+    bench::JsonReport report("router_scatter");
+    report["flags"]["rows"] = rows;
+    report["flags"]["shards"] = max_shards;
+    report["flags"]["scatter_queries"] = scatter_queries;
+    report["flags"]["shard_workers"] = shard_workers;
+    const ScatterResult r =
+        RunScatter(max_shards, rows, scatter_queries, shard_workers);
+    ANKER_CHECK_MSG(r.scatter_queries >= scatter_queries,
+                    "SUM queries bypassed the router's scatter path");
+    const double ratio = r.scatter_p50_us / r.direct_p50_us;
+    auto& scatter = report["scatter"];
+    scatter["scatter_sum_p50_us"] = r.scatter_p50_us;
+    scatter["direct_sum_p50_us"] = r.direct_p50_us;
+    scatter["scatter_over_direct_p50"] = ratio;
+    std::printf("%8s %10s %18s %18s %10s\n", "shards", "queries",
+                "scatter p50 [us]", "direct p50 [us]", "ratio");
+    std::printf("%8zu %10zu %18.1f %18.1f %10.2f\n", max_shards,
+                scatter_queries, r.scatter_p50_us, r.direct_p50_us, ratio);
+    report.Write(json_out);
+    return 0;
+  }
 
   std::vector<std::string> data_dirs;
   {

@@ -303,13 +303,21 @@ Status Client::ExecTxn(const std::vector<PointWrite>& writes) {
 
 Result<query::QueryResult> Client::Query(const query::WireQuery& query,
                                          const query::Params& params) {
+  ANKER_RETURN_IF_ERROR(SendQuery(query, params));
+  return ReceiveQuery();
+}
+
+Status Client::SendQuery(const query::WireQuery& query,
+                         const query::Params& params) {
   QueryMsg msg;
   msg.query = query;
   msg.params = params;
   std::string payload;
   ANKER_RETURN_IF_ERROR(EncodeQuery(msg, &payload));
-  ANKER_RETURN_IF_ERROR(SendFrame(payload));
+  return SendFrame(payload);
+}
 
+Result<query::QueryResult> Client::ReceiveQuery() {
   query::QueryResult result;
   while (true) {
     std::string response;
@@ -429,47 +437,65 @@ Result<ReplicaStatusOkMsg> Client::ReplicaStatus() {
 Status Client::PrepareTxn(uint64_t gtid, uint32_t primary_shard,
                           const std::vector<PointWrite>& writes,
                           uint64_t* prepare_ts, uint64_t* lsn) {
+  ANKER_RETURN_IF_ERROR(SendPrepareTxn(gtid, primary_shard, writes));
+  return ReceivePrepared(prepare_ts, lsn);
+}
+
+Status Client::SendPrepareTxn(uint64_t gtid, uint32_t primary_shard,
+                              const std::vector<PointWrite>& writes) {
   PrepareTxnMsg msg;
   msg.gtid = gtid;
   msg.primary_shard = primary_shard;
   msg.writes = writes;
   std::string payload;
   EncodePrepareTxn(msg, &payload);
-  auto response = RoundTrip(payload);
-  if (!response.ok()) return response.status();
-  if (!response.value().empty() &&
-      static_cast<Op>(response.value()[0]) == Op::kPreparedOk) {
+  return SendFrame(payload);
+}
+
+Status Client::ReceivePrepared(uint64_t* prepare_ts, uint64_t* lsn) {
+  std::string response;
+  ANKER_RETURN_IF_ERROR(ReceiveFrame(&response));
+  if (!response.empty() &&
+      static_cast<Op>(response[0]) == Op::kPreparedOk) {
     PreparedOkMsg ok;
     ANKER_RETURN_IF_ERROR(
-        DecodePreparedOk(std::string_view(response.value()).substr(1), &ok));
+        DecodePreparedOk(std::string_view(response).substr(1), &ok));
     if (prepare_ts != nullptr) *prepare_ts = ok.prepare_ts;
     if (lsn != nullptr) *lsn = ok.lsn;
     return Status::OK();
   }
-  return StatusResponse(response.value());
+  return StatusResponse(response);
 }
 
 Status Client::CommitPrepared(uint64_t gtid, uint64_t commit_ts,
                               uint64_t* lsn) {
+  ANKER_RETURN_IF_ERROR(SendCommitPrepared(gtid, commit_ts));
+  return ReceiveCommitted(lsn);
+}
+
+Status Client::SendCommitPrepared(uint64_t gtid, uint64_t commit_ts) {
   CommitPreparedMsg msg;
   msg.gtid = gtid;
   msg.commit_ts = commit_ts;
   std::string payload;
   EncodeCommitPrepared(msg, &payload);
-  auto response = RoundTrip(payload);
-  if (!response.ok()) return response.status();
-  if (!response.value().empty() &&
-      static_cast<Op>(response.value()[0]) == Op::kCommitOk) {
+  return SendFrame(payload);
+}
+
+Status Client::ReceiveCommitted(uint64_t* lsn) {
+  std::string response;
+  ANKER_RETURN_IF_ERROR(ReceiveFrame(&response));
+  if (!response.empty() && static_cast<Op>(response[0]) == Op::kCommitOk) {
     uint64_t commit_lsn = 0;
-    ANKER_RETURN_IF_ERROR(DecodeCommitOk(
-        std::string_view(response.value()).substr(1), &commit_lsn));
+    ANKER_RETURN_IF_ERROR(
+        DecodeCommitOk(std::string_view(response).substr(1), &commit_lsn));
     if (lsn != nullptr) *lsn = commit_lsn;
     // Idempotent duplicates ack with lsn 0 — don't regress the
     // read-your-writes token with that.
     if (commit_lsn != 0) last_commit_lsn_ = commit_lsn;
     return Status::OK();
   }
-  return StatusResponse(response.value());
+  return StatusResponse(response);
 }
 
 Status Client::AbortPrepared(uint64_t gtid) {

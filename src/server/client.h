@@ -77,6 +77,13 @@ class Client {
   /// returned rows are byte-identical to an in-process Database::Run.
   Result<query::QueryResult> Query(const query::WireQuery& query,
                                    const query::Params& params);
+  /// Query in two halves, for fan-outs that send to several servers
+  /// before waiting on any (the shard router's scatter). Between the
+  /// two calls the connection holds an unread response: the caller
+  /// must ReceiveQuery before reusing it, or close it.
+  Status SendQuery(const query::WireQuery& query,
+                   const query::Params& params);
+  Result<query::QueryResult> ReceiveQuery();
 
   /// Schema / load surface.
   Status CreateTable(const std::string& name, uint64_t num_rows,
@@ -118,9 +125,20 @@ class Client {
   Status PrepareTxn(uint64_t gtid, uint32_t primary_shard,
                     const std::vector<PointWrite>& writes,
                     uint64_t* prepare_ts = nullptr, uint64_t* lsn = nullptr);
+  /// Both phases also come split into send and receive halves, with the
+  /// same unread-response rule as SendQuery/ReceiveQuery, so a router
+  /// can prepare (or commit) on every participant concurrently. Like
+  /// Query, neither the blocking calls nor the halves apply the client's
+  /// BUSY retry budget: the router owns that policy.
+  Status SendPrepareTxn(uint64_t gtid, uint32_t primary_shard,
+                        const std::vector<PointWrite>& writes);
+  Status ReceivePrepared(uint64_t* prepare_ts = nullptr,
+                         uint64_t* lsn = nullptr);
   /// Phase two: materialize (idempotent; duplicate → OK with lsn 0)...
   Status CommitPrepared(uint64_t gtid, uint64_t commit_ts,
                         uint64_t* lsn = nullptr);
+  Status SendCommitPrepared(uint64_t gtid, uint64_t commit_ts);
+  Status ReceiveCommitted(uint64_t* lsn = nullptr);
   /// ...or discard. Unknown gtids are fenced with a durable tombstone.
   Status AbortPrepared(uint64_t gtid);
   /// Outcome query at the primary shard. `abort_pending` escalates an

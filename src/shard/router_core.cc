@@ -47,6 +47,26 @@ bool IsBusyResponse(const std::string& payload) {
   return !payload.empty() && static_cast<Op>(payload[0]) == Op::kBusy;
 }
 
+/// Reads the response to a request already sent with `send`. A BUSY
+/// answer — emitted before the shard does any work, so re-sending is
+/// safe — waits out the router's backoff and re-sends on the same
+/// connection, so the collected response is always the last one sent.
+template <typename Send, typename Receive>
+Status ReceiveRetryingBusy(const RouterCoreConfig& config, Send send,
+                           Receive receive) {
+  int backoff_millis = config.busy_backoff_initial_millis;
+  for (int attempt = 0;; ++attempt) {
+    const Status status = receive();
+    if (status.code() != StatusCode::kResourceBusy ||
+        attempt >= config.busy_retry_budget) {
+      return status;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_millis));
+    backoff_millis = std::min(backoff_millis * 2, config.busy_backoff_max_millis);
+    ANKER_RETURN_IF_ERROR(send());
+  }
+}
+
 /// Wall-clock-seeded base for global transaction ids: the high bits
 /// change across router incarnations so a restarted router's counter
 /// does not replay a predecessor's gtids (collisions would only cost a
@@ -613,54 +633,69 @@ void RouterCore::TwoPhaseCommit(
   const uint64_t gtid = gtid_base_ + gtid_counter_.fetch_add(1) + 1;
   const uint32_t primary_shard = static_cast<uint32_t>(groups.front().first);
 
-  // Phase one: stage durable write intents on every participant. Each
-  // ack carries the shard's prepare stamp, folded into the HLC.
-  std::vector<std::unique_ptr<server::Client>> clients(groups.size());
+  // Phase one: stage durable write intents on every participant. Every
+  // PREPARE goes out before any ack is read, so the participants' durable
+  // prepares overlap; acks are then collected in participant order, each
+  // carrying the shard's prepare stamp, folded into the HLC.
+  const size_t participants = groups.size();
+  std::vector<std::unique_ptr<server::Client>> clients(participants);
+  std::vector<Status> prepared(participants);
+  size_t asked = participants;
+  for (size_t i = 0; i < participants; ++i) {
+    auto acquired = pool_->Acquire(groups[i].first);
+    if (!acquired.ok()) {
+      prepared[i] = acquired.status();
+      asked = i + 1;  // Later participants are never asked.
+      break;
+    }
+    clients[i] = std::move(acquired.value());
+    prepared[i] =
+        clients[i]->SendPrepareTxn(gtid, primary_shard, groups[i].second);
+  }
+  // Every sent PREPARE is collected, even after a failure: no connection
+  // goes back to the pool with an unread ack, and the unwind below meets
+  // settled participants, as after a serial phase one.
   uint64_t max_prepare_ts = 0;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    const auto& [shard, writes] = groups[i];
-    auto acquired = pool_->Acquire(shard);
-    Status prepared = acquired.status();
-    if (prepared.ok()) {
-      clients[i] = std::move(acquired.value());
+  size_t failed = participants;  // First failing participant, if any.
+  for (size_t i = 0; i < asked; ++i) {
+    if (clients[i] != nullptr && prepared[i].ok()) {
       uint64_t prepare_ts = 0;
-      int backoff_millis = config_.busy_backoff_initial_millis;
-      for (int attempt = 0;; ++attempt) {
-        // PREPARE_TXN is idempotent (a duplicate staged gtid acks OK),
-        // so BUSY — emitted before the shard does any work — retries
-        // the same way every other forwarded op does.
-        prepared = clients[i]->PrepareTxn(gtid, primary_shard, writes,
-                                          &prepare_ts, nullptr);
-        if (prepared.code() != StatusCode::kResourceBusy ||
-            attempt >= config_.busy_retry_budget) {
-          break;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_millis));
-        backoff_millis =
-            std::min(backoff_millis * 2, config_.busy_backoff_max_millis);
+      // PREPARE_TXN is idempotent (a duplicate staged gtid acks OK), so
+      // BUSY retries the same way every other forwarded op does.
+      prepared[i] = ReceiveRetryingBusy(
+          config_,
+          [&] {
+            return clients[i]->SendPrepareTxn(gtid, primary_shard,
+                                              groups[i].second);
+          },
+          [&] { return clients[i]->ReceivePrepared(&prepare_ts, nullptr); });
+      if (prepared[i].ok()) {
+        max_prepare_ts = std::max(max_prepare_ts, prepare_ts);
+        faults.MaybeKill("2pc.prepare.post");
       }
-      if (prepared.ok()) max_prepare_ts = std::max(max_prepare_ts, prepare_ts);
     }
-    if (!prepared.ok()) {
-      // Unwind: nothing is decided until the primary's COMMIT_PREPARED
-      // is durable, so aborting here is always correct.
-      for (size_t j = 0; j < clients.size(); ++j) {
-        if (clients[j] == nullptr) continue;
-        pool_->Release(groups[j].first, std::move(clients[j]));
+    if (!prepared[i].ok() && failed == participants) failed = i;
+  }
+  if (failed < participants) {
+    // Unwind: nothing is decided until the primary's COMMIT_PREPARED
+    // is durable, so aborting here is always correct.
+    for (size_t i = 0; i < asked; ++i) {
+      if (clients[i] == nullptr) continue;
+      if (prepared[i].code() == StatusCode::kIoError) {
+        pool_->Discard(std::move(clients[i]));
+      } else {
+        pool_->Release(groups[i].first, std::move(clients[i]));
       }
-      AbortPreparedFanout(gtid, groups);
-      RespondStatus(
-          prepared.code() == StatusCode::kIoError
-              ? Status::ResourceBusy("shard " +
-                                     std::to_string(groups[i].first) +
-                                     " unreachable during prepare; "
-                                     "transaction aborted")
-              : prepared,
-          out);
-      return;
     }
-    faults.MaybeKill("2pc.prepare.post");
+    AbortPreparedFanout(gtid, groups);
+    RespondStatus(prepared[failed].code() == StatusCode::kIoError
+                      ? Status::ResourceBusy(
+                            "shard " + std::to_string(groups[failed].first) +
+                            " unreachable during prepare; transaction "
+                            "aborted")
+                      : prepared[failed],
+                  out);
+    return;
   }
 
   // Decision: one HLC stamp above every prepare stamp. Nothing durable
@@ -669,59 +704,54 @@ void RouterCore::TwoPhaseCommit(
   const uint64_t commit_ts = oracle_.CommitStamp(max_prepare_ts);
 
   // Phase two: the primary shard (groups.front()) is the commit point —
-  // its durable COMMIT_PREPARED record decides the transaction. The
-  // remaining participants are then told best-effort; any that miss the
-  // memo are healed by reader-driven resolution through the primary.
-  uint64_t primary_lsn = 0;
-  for (size_t i = 0; i < groups.size(); ++i) {
+  // its durable COMMIT_PREPARED record decides the transaction, so it
+  // goes first and alone. The remaining participants are then told
+  // together, best-effort; any that miss the memo are healed by
+  // reader-driven resolution through the primary.
+  std::vector<Status> committed(participants);
+  auto send_commit = [&](size_t i) {
     faults.MaybeKill("2pc.commit.pre");
-    uint64_t lsn = 0;
-    Status committed = Status::OK();
-    int backoff_millis = config_.busy_backoff_initial_millis;
-    for (int attempt = 0;; ++attempt) {
-      committed = clients[i]->CommitPrepared(gtid, commit_ts, &lsn);
-      if (committed.code() != StatusCode::kResourceBusy ||
-          attempt >= config_.busy_retry_budget) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_millis));
-      backoff_millis =
-          std::min(backoff_millis * 2, config_.busy_backoff_max_millis);
+    committed[i] = clients[i]->SendCommitPrepared(gtid, commit_ts);
+  };
+  auto collect_commit = [&](size_t i, uint64_t* lsn) {
+    if (committed[i].ok()) {
+      committed[i] = ReceiveRetryingBusy(
+          config_,
+          [&] { return clients[i]->SendCommitPrepared(gtid, commit_ts); },
+          [&] { return clients[i]->ReceiveCommitted(lsn); });
     }
-    if (committed.code() == StatusCode::kIoError) {
+    if (committed[i].code() == StatusCode::kIoError) {
       pool_->Discard(std::move(clients[i]));
-    }
-    if (i == 0) {
-      if (!committed.ok()) {
-        // The commit point did not ack. Transport loss leaves the
-        // outcome genuinely unknown (the record may be durable), so
-        // intents stay for lazy resolution; a clean refusal means the
-        // transaction never committed — unwind it.
-        for (size_t j = 1; j < clients.size(); ++j) {
-          if (clients[j] != nullptr) {
-            pool_->Release(groups[j].first, std::move(clients[j]));
-          }
-        }
-        if (committed.code() == StatusCode::kIoError) {
-          RespondStatus(
-              Status::IoError("primary shard connection lost; "
-                              "transaction outcome unknown"),
-              out);
-        } else {
-          AbortPreparedFanout(gtid, groups);
-          RespondStatus(committed, out);
-        }
-        return;
-      }
-      primary_lsn = lsn;
-    }
-    if (clients[i] != nullptr) {
+    } else {
       pool_->Release(groups[i].first, std::move(clients[i]));
     }
-    // A failed secondary after the primary's ack does NOT fail the
-    // transaction — it is committed; the straggler's intents resolve
-    // lazily.
+  };
+  uint64_t primary_lsn = 0;
+  send_commit(0);
+  collect_commit(0, &primary_lsn);
+  if (!committed[0].ok()) {
+    // The commit point did not ack. Transport loss leaves the outcome
+    // genuinely unknown (the record may be durable), so intents stay for
+    // lazy resolution; a clean refusal means the transaction never
+    // committed — unwind it.
+    for (size_t i = 1; i < participants; ++i) {
+      pool_->Release(groups[i].first, std::move(clients[i]));
+    }
+    if (committed[0].code() == StatusCode::kIoError) {
+      RespondStatus(Status::IoError("primary shard connection lost; "
+                                    "transaction outcome unknown"),
+                    out);
+    } else {
+      AbortPreparedFanout(gtid, groups);
+      RespondStatus(committed[0], out);
+    }
+    return;
   }
+  // A failed secondary after the primary's ack does NOT fail the
+  // transaction — it is committed; the straggler's intents resolve
+  // lazily.
+  for (size_t i = 1; i < participants; ++i) send_commit(i);
+  for (size_t i = 1; i < participants; ++i) collect_commit(i, nullptr);
 
   twopc_txns_.fetch_add(1);
   // The LSN is the primary shard's commit record: read-your-writes
@@ -767,33 +797,59 @@ void RouterCore::HandleQuery(const std::string& payload, std::string* out) {
     return;
   }
 
-  // Scatter: every shard runs plan.shard_query; the router merges.
-  std::vector<query::QueryResult> parts;
-  uint32_t skipped = 0;
-  for (size_t shard = 0; shard < pool_->num_shards(); ++shard) {
+  // Scatter: every shard runs plan.shard_query; the router merges. The
+  // query goes out to every shard before any answer is read, so the
+  // shards run concurrently and a scatter costs the slowest shard, not
+  // the sum. Answers are collected in shard order: the merge input (and
+  // so the merged bytes) and the reported error (the lowest failing
+  // shard) are what a serial loop would give.
+  const size_t shards = pool_->num_shards();
+  std::vector<std::unique_ptr<server::Client>> clients(shards);
+  std::vector<Status> sent(shards);
+  size_t asked = shards;
+  for (size_t shard = 0; shard < shards; ++shard) {
     auto client = pool_->Acquire(shard);
     if (!client.ok()) {
-      if (config_.allow_partial) {
-        ++skipped;  // Merge over the live subset.
+      sent[shard] = client.status();  // BUSY: the shard is down.
+      if (config_.allow_partial) continue;
+      asked = shard + 1;  // Later shards are never asked.
+      break;
+    }
+    clients[shard] = std::move(client.value());
+    sent[shard] = clients[shard]->SendQuery(plan.shard_query, msg.params);
+  }
+  // Every sent query is collected, even after a failure, so no
+  // connection goes back to the pool with an unread answer.
+  std::vector<query::QueryResult> parts;
+  uint32_t skipped = 0;
+  Status failed;
+  for (size_t shard = 0; shard < asked; ++shard) {
+    Status status = sent[shard];
+    if (clients[shard] != nullptr) {
+      if (status.ok()) {
+        auto result = clients[shard]->ReceiveQuery();
+        status = result.status();
+        if (result.ok()) parts.push_back(std::move(result.value()));
+      }
+      if (status.ok()) {
+        pool_->Release(shard, std::move(clients[shard]));
         continue;
       }
-      RespondStatus(client.status(), out);
-      return;
+      // The client may be poisoned (mid-stream failure); drop it.
+      pool_->Discard(std::move(clients[shard]));
     }
-    auto result = client.value()->Query(plan.shard_query, msg.params);
-    if (!result.ok()) {
-      pool_->Discard(std::move(client.value()));
-      const StatusCode code = result.status().code();
-      if (config_.allow_partial && (code == StatusCode::kIoError ||
-                                    code == StatusCode::kResourceBusy)) {
-        ++skipped;  // Shard died mid-query / is overloaded: skip it.
-        continue;
-      }
-      RespondStatus(result.status(), out);
-      return;
+    const StatusCode code = status.code();
+    if (config_.allow_partial && (code == StatusCode::kIoError ||
+                                  code == StatusCode::kResourceBusy)) {
+      // Down, died mid-query or overloaded: merge over the live subset.
+      ++skipped;
+    } else if (failed.ok()) {
+      failed = status;
     }
-    pool_->Release(shard, std::move(client.value()));
-    parts.push_back(std::move(result.value()));
+  }
+  if (!failed.ok()) {
+    RespondStatus(failed, out);
+    return;
   }
   if (parts.empty()) {
     RespondError(WireError::kResourceBusy, "no shard reachable", out);

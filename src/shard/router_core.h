@@ -11,10 +11,12 @@
 //    one router->shard round trip (the pass-through fast path, counted
 //    in passthrough_txns). Batches spanning shards run intent-based 2PC
 //    (counted in twopc_txns): PREPARE_TXN fan-out stages durable write
-//    intents on every participant, the router's TimestampOracle folds
-//    the prepare stamps into one HLC commit stamp, and COMMIT_PREPARED
-//    lands on the primary shard (lowest participating index — the
-//    durable commit point) before fanning to the rest. A router death
+//    intents on every participant (every PREPARE is sent before any ack
+//    is read, so the participants' fsyncs overlap; all acks are read
+//    before an unwind), the router's TimestampOracle folds the prepare
+//    stamps into one HLC commit stamp, and COMMIT_PREPARED lands on the
+//    primary shard (lowest participating index — the durable commit
+//    point) alone, before it is sent to the rest together. A router death
 //    mid-protocol leaves intents that readers resolve lazily through
 //    the primary (see HandleRead). Writes touching replicated tables
 //    are still refused.
@@ -33,7 +35,14 @@
 //  - QUERY: PlanScatter (query/merge.h) classifies the plan;
 //    single-shard plans forward to one healthy shard, scatterable plans
 //    run on every shard and merge at the router, cross-shard plans
-//    come back as a recoverable kNotSupported.
+//    come back as a recoverable kNotSupported. A scatter is sent to
+//    every shard before any answer is read, so the shards run it
+//    concurrently (the slowest shard, not the sum); answers are read
+//    in shard order, so the merge input and the reported error (the
+//    lowest failing shard) match a serial loop.
+//  - Split-phase fan-outs run on the calling worker thread alone. Every
+//    request that went out is read back, even after a failure, so no
+//    connection returns to the pool holding an unread response.
 //  - A down shard surfaces as BUSY (kResourceBusy) for anything that
 //    must reach it. Queries optionally tolerate missing shards
 //    (allow_partial): the merged result then covers the live subset,

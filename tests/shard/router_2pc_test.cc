@@ -148,6 +148,67 @@ TEST_F(Router2pcTest, CrossShardTransferConservesTotalAndCounts) {
   EXPECT_EQ(status.value().passthrough_txns, 0u);
 }
 
+TEST_F(Router2pcTest, RefusedPrepareUnwindsTheAckedParticipant) {
+  const uint64_t from = shard_keys_[0][0];
+  const uint64_t to = shard_keys_[1][0];
+  int64_t from_balance = 1000;
+  int64_t to_balance = 1000;
+  // First the second participant refuses while the first acks, then the
+  // other way round: the router sends both PREPAREs before reading
+  // either ack, so in the second round an ack is still unread when the
+  // refusal arrives.
+  for (size_t refusing : {size_t{1}, size_t{0}}) {
+    SCOPED_TRACE("refusing shard " + std::to_string(refusing));
+    const uint64_t blocked = refusing == 0 ? from : to;
+    // A conflicting intent holds the refusing shard's key, so its
+    // PREPARE is refused (BUSY, past the router's retry budget).
+    auto blocker = DirectClient(refusing);
+    ASSERT_TRUE(blocker
+                    ->PrepareTxn(321 + refusing,
+                                 static_cast<uint32_t>(refusing),
+                                 {BalanceWrite(blocked, 5)})
+                    .ok());
+    const Status refused = client_->ExecTxn(
+        {BalanceWrite(from, from_balance - 100),
+         BalanceWrite(to, to_balance + 100)});
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.code(), StatusCode::kResourceBusy)
+        << refused.ToString();
+
+    // The router unwound the acked participant's intent; once the
+    // blocking one is gone too, neither shard holds a pending intent.
+    ASSERT_TRUE(blocker->AbortPrepared(321 + refusing).ok());
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      auto status = DirectClient(shard)->ReplicaStatus();
+      ASSERT_TRUE(status.ok()) << status.status().ToString();
+      EXPECT_EQ(status.value().pending_intents, 0u) << "shard " << shard;
+    }
+    auto from_val = DirectClient(0)->Read("acct", "balance", from,
+                                          /*by_key=*/true);
+    auto to_val = DirectClient(1)->Read("acct", "balance", to,
+                                        /*by_key=*/true);
+    ASSERT_TRUE(from_val.ok() && to_val.ok());
+    EXPECT_EQ(from_val.value(), storage::EncodeInt64(from_balance));
+    EXPECT_EQ(to_val.value(), storage::EncodeInt64(to_balance));
+
+    // The pooled connections are clean: the next transfer commits.
+    from_balance -= 100;
+    to_balance += 100;
+    ASSERT_TRUE(client_
+                    ->ExecTxn({BalanceWrite(from, from_balance),
+                               BalanceWrite(to, to_balance)})
+                    .ok());
+    from_val = client_->Read("acct", "balance", from, /*by_key=*/true);
+    to_val = client_->Read("acct", "balance", to, /*by_key=*/true);
+    ASSERT_TRUE(from_val.ok() && to_val.ok());
+    EXPECT_EQ(from_val.value(), storage::EncodeInt64(from_balance));
+    EXPECT_EQ(to_val.value(), storage::EncodeInt64(to_balance));
+  }
+  auto status = client_->RouterStatus();
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().twopc_txns, 2u);
+}
+
 TEST_F(Router2pcTest, ReaderBlockedByIntentUntilCommitAndDuplicateIsIdempotent) {
   const uint64_t key = shard_keys_[0][0];
   auto direct = DirectClient(0);

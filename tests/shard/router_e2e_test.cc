@@ -341,6 +341,72 @@ TEST_F(RouterE2eTest, ScatterGatherMatchesUnionOfShards) {
   EXPECT_GE(status.value().scatter_queries, 2u);
 }
 
+TEST_F(RouterE2eTest, ShardErrorInScatterLeavesNoUnreadResponseInPool) {
+  // `part` with one extra column per shard: only0 exists on shard 0
+  // alone, only1 on shard 1 alone. A scatter over either column fails on
+  // one shard while the other answers, and that answer is still unread
+  // when the error comes in. Every value is distinct, so a stale answer
+  // read by a later scatter shows up as a wrong total.
+  double expect_sum = 0.0;
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    auto direct = DirectClient(shard);
+    const std::vector<uint64_t>& keys = shard_keys_[shard];
+    const std::string extra = "only" + std::to_string(shard);
+    ASSERT_TRUE(direct
+                    ->CreateTable("part", keys.size(),
+                                  {{"id", ValueType::kInt64},
+                                   {"val", ValueType::kDouble},
+                                   {extra, ValueType::kDouble}})
+                    .ok());
+    std::vector<uint64_t> ids, vals, extras;
+    for (uint64_t key : keys) {
+      ids.push_back(storage::EncodeInt64(static_cast<int64_t>(key)));
+      vals.push_back(storage::EncodeDouble(static_cast<double>(key) * 0.25));
+      extras.push_back(storage::EncodeDouble(static_cast<double>(key) * 64));
+      expect_sum += static_cast<double>(key) * 0.25;
+    }
+    ASSERT_TRUE(direct->Load("part", "id", 0, ids).ok());
+    ASSERT_TRUE(direct->Load("part", "val", 0, vals).ok());
+    ASSERT_TRUE(direct->Load("part", extra, 0, extras).ok());
+  }
+  auto sum_of = [](const std::string& column) {
+    query::WireQuery sum;
+    sum.table = "part";
+    sum.aggs.push_back(query::Sum(query::Col(column)).As("s"));
+    return sum;
+  };
+
+  // The strict router and an allow_partial one share the fixture's pool:
+  // a column error is neither IO nor BUSY, so both refuse the scatter.
+  RouterCoreConfig partial_config;
+  partial_config.allow_partial = true;
+  RouterCore partial_core(&map_, pool_.get(), partial_config);
+  RouterServer partial_router(&partial_core, RouterServerConfig{});
+  ASSERT_TRUE(partial_router.Start().ok());
+  auto partial_connected =
+      server::Client::Connect("127.0.0.1", partial_router.port());
+  ASSERT_TRUE(partial_connected.ok());
+  auto partial_client = partial_connected.TakeValue();
+
+  for (server::Client* client : {client_.get(), partial_client.get()}) {
+    for (const char* failing : {"only1", "only0"}) {
+      auto refused = client->Query(sum_of(failing), query::Params());
+      ASSERT_FALSE(refused.ok()) << failing;
+      EXPECT_NE(refused.status().code(), StatusCode::kIoError)
+          << refused.status().ToString();
+      // A healthy scatter through the same pooled connections is exact.
+      auto healthy = client->Query(sum_of("val"), query::Params());
+      ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+      ASSERT_EQ(healthy.value().rows.size(), 1u);
+      EXPECT_EQ(healthy.value().Value("s"), expect_sum) << failing;
+      EXPECT_EQ(healthy.value().shards_missing, 0u);
+    }
+  }
+
+  partial_client.reset();
+  partial_router.Shutdown();
+}
+
 TEST_F(RouterE2eTest, DownShardMeansBusyWritesAndPartialQueriesOptIn) {
   SeedPartitioned(1.0);
 
